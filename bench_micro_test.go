@@ -9,7 +9,6 @@ package dream
 // tracked numbers live in BENCH_<n>.json.
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/cache"
@@ -104,13 +103,6 @@ func BenchmarkAuditorObserve(b *testing.B) {
 // never memoized — each iteration re-simulates).
 func benchMitigated(b *testing.B, cfg exp.RunConfig) {
 	b.Helper()
-	// BENCH_PARALLEL_SUBCHANNELS=1 (recorded by scripts/bench_json.sh) turns
-	// on the parallel controller pass for the measured runs; bit-identical,
-	// wall-clock only, helps only when GOMAXPROCS > 1.
-	if os.Getenv("BENCH_PARALLEL_SUBCHANNELS") == "1" {
-		prev := exp.SetParallelSubChannels(true)
-		b.Cleanup(func() { exp.SetParallelSubChannels(prev) })
-	}
 	exp.ResetCache()
 	warm := cfg
 	warm.Scheme = exp.Baseline
@@ -126,12 +118,12 @@ func benchMitigated(b *testing.B, cfg exp.RunConfig) {
 	}
 }
 
-// benchSystemRun measures the raw event loop: one full system simulation per
-// iteration over pre-recorded traces (recorded outside the timer, replayed
-// each iteration), with a PARA mitigator so controller wakes and DRFM stalls
-// exercise the event queue. No exp-harness or cache layers in the loop.
-func benchSystemRun(b *testing.B, engine system.EngineKind) {
-	b.Helper()
+// BenchmarkSystemRun measures the raw event loop: one full system
+// simulation per iteration over pre-recorded traces (recorded outside the
+// timer, replayed each iteration), with a PARA mitigator so controller wakes
+// and DRFM stalls exercise the completion heap. No exp-harness or cache
+// layers in the loop.
+func BenchmarkSystemRun(b *testing.B) {
 	gens, err := workload.Rate("mcf", 8, 20_000, 0xbe7c)
 	if err != nil {
 		b.Fatal(err)
@@ -143,11 +135,6 @@ func benchSystemRun(b *testing.B, engine system.EngineKind) {
 	ts := runcache.RecordAll(srcs)
 
 	cfg := system.DefaultConfig()
-	cfg.Engine = engine
-	// BENCH_PARALLEL_SUBCHANNELS=1 (recorded by scripts/bench_json.sh) turns
-	// on the parallel controller pass; it changes wall-clock only, and only
-	// helps when GOMAXPROCS > 1.
-	cfg.ParallelSubChannels = os.Getenv("BENCH_PARALLEL_SUBCHANNELS") == "1"
 	cfg.NewMitigator = func(sub int) memctrl.Mitigator {
 		m, err := tracker.NewPARA(0.01, tracker.ModeDRFMsb, sim.NewRNG(uint64(sub+99)))
 		if err != nil {
@@ -172,19 +159,10 @@ func benchSystemRun(b *testing.B, engine system.EngineKind) {
 		}
 		iters, events = sys.LoopStats()
 	}
-	// Loop-shape metrics: both engines must drain the same event count, and
-	// iters/op is the tick-visit budget the wheel and fast-forward defend.
+	// Loop-shape metrics: events/op is the work drained, and iters/op the
+	// tick-visit budget the quiescence fast-forward defends.
 	b.ReportMetric(float64(iters), "iters/op")
 	b.ReportMetric(float64(events), "events/op")
-}
-
-// BenchmarkSystemRun compares the timing-wheel engine against the retained
-// legacy scan-everything loop on an identical mitigated simulation. The
-// wheel sub-benchmark is the tracked number; legacy is the reference that
-// quantifies what the wheel buys.
-func BenchmarkSystemRun(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) { benchSystemRun(b, system.EngineWheel) })
-	b.Run("legacy", func(b *testing.B) { benchSystemRun(b, system.EngineLegacy) })
 }
 
 // BenchmarkMitigatedRun is the tracked mitigated-run canary (the workload

@@ -120,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stderr, "dreamd: %v\n", err)
 		return 1
 	}
-	srv := &http.Server{Handler: service.Handler()}
+	srv := newServer(service.Handler())
 	fmt.Fprintf(stdout, "dreamd: listening on %s (workers=%d queue=%d cache=%q)\n",
 		ln.Addr(), *workers, *depth, *cacheDir)
 	if ready != nil {
@@ -157,4 +157,23 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	fmt.Fprintln(stdout, "dreamd: drained cleanly")
 	return 0
+}
+
+// Connection timeouts. A client gets readHeaderTimeout to send its request
+// headers and an idle keep-alive connection is closed after idleTimeout, so
+// a slow or silent client cannot hold a connection open forever. Request
+// bodies and responses stay unbounded here: a simulation or a streamed
+// campaign legitimately runs for minutes, under its own per-request deadline.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer wraps handler in dreamd's HTTP server settings.
+func newServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

@@ -81,3 +81,15 @@ func TestServeCacheHitAndSigtermDrain(t *testing.T) {
 		t.Errorf("missing drain message; stdout:\n%s", stdout.String())
 	}
 }
+
+// TestServerHasConnectionTimeouts guards the slow-client defence: the
+// server dreamd builds must bound header reads and idle keep-alives.
+func TestServerHasConnectionTimeouts(t *testing.T) {
+	srv := newServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", srv.IdleTimeout)
+	}
+}

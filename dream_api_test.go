@@ -9,6 +9,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
+	"repro/internal/stats"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -24,8 +27,11 @@ func TestConfigValidate(t *testing.T) {
 		{"window above 1", Config{WindowScale: 1.5}, "WindowScale"},
 		{"negative cores", Config{Cores: -1}, "Cores"},
 		{"absurd cores", Config{Cores: 1 << 10}, "Cores"},
+		{"max cores", Config{Cores: exp.MaxCores}, ""},
+		{"cores past max", Config{Cores: exp.MaxCores + 1}, "Cores"},
+		{"max accesses", Config{AccessesPerCore: exp.MaxAccesses}, ""},
+		{"accesses past max", Config{AccessesPerCore: exp.MaxAccesses + 1}, "AccessesPerCore"},
 		{"unknown scheme", Config{Scheme: "bogus"}, "unknown scheme"},
-		{"empty scheme ok (custom)", Config{}, ""},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -64,14 +70,25 @@ func TestSimulateContextCancelMidRun(t *testing.T) {
 	}
 }
 
+// TestCompareContextMatchesSequential checks that the concurrent baseline
+// and scheme runs of CompareContext equal the same two runs made one after
+// the other through SimulateContext.
 func TestCompareContextMatchesSequential(t *testing.T) {
+	ctx := context.Background()
 	cfg := Config{Workload: "bc", Scheme: PARADRFMab, TRH: 500,
 		Cores: 2, AccessesPerCore: 6000, Seed: 2}
-	base1, res1, slow1, err := Compare(cfg)
+	baseCfg := cfg
+	baseCfg.Scheme = Unprotected
+	base1, err := SimulateContext(ctx, baseCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base2, res2, slow2, err := CompareContext(context.Background(), cfg)
+	res1, err := SimulateContext(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow1 := stats.Slowdown(base1, res1)
+	base2, res2, slow2, err := CompareContext(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +115,21 @@ func TestAttackConfigValidate(t *testing.T) {
 	if err := (AttackConfig{Kind: AttackCircular, Scheme: DreamRMINT}).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
+	if err := (AttackConfig{Kind: AttackDoubleSided, Acts: exp.MaxAccesses, Cores: exp.MaxCores}).Validate(); err != nil {
+		t.Errorf("attack at the size limits rejected: %v", err)
+	}
+	if err := (AttackConfig{Kind: AttackDoubleSided, Acts: exp.MaxAccesses + 1}).Validate(); err == nil ||
+		!strings.Contains(err.Error(), "Acts") {
+		t.Errorf("acts past the limit: %v", err)
+	}
+	if err := (AttackConfig{Kind: AttackDoubleSided, Cores: exp.MaxCores + 1}).Validate(); err == nil ||
+		!strings.Contains(err.Error(), "Cores") {
+		t.Errorf("cores past the limit: %v", err)
+	}
 }
 
 func TestAttackRespectsCores(t *testing.T) {
-	res, err := Attack(AttackConfig{
+	res, err := AttackContext(context.Background(), AttackConfig{
 		Kind: AttackDoubleSided, Scheme: Unprotected, TRH: 1000,
 		Acts: 30_000, Cores: 2,
 	})
@@ -130,23 +158,5 @@ func TestAttackResultJSONKeepsBreached(t *testing.T) {
 	}
 	if m["schema_version"] != float64(1) || m["activations"] != float64(42) {
 		t.Errorf("embedded versioned encoding lost: %s", b)
-	}
-}
-
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	// Simulate/SimulateCustom/Compare/Attack are exercised elsewhere; this
-	// guards that the wrappers and the context variants share defaults.
-	cfg := Config{Workload: "xz", Scheme: MINTDRFMsb, TRH: 2000,
-		Cores: 2, AccessesPerCore: 2000, Seed: 1}
-	r1, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := SimulateContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := r1.Diff(r2); len(d) != 0 {
-		t.Errorf("wrapper and context variant disagree: %v", d)
 	}
 }

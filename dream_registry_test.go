@@ -1,9 +1,10 @@
 package dream
 
 // Facade tests for the public scheme registry: RegisterScheme end-to-end
-// through Simulate, SchemeID alias resolution, and roster listing.
+// through SimulateContext, SchemeID alias resolution, and roster listing.
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -35,12 +36,12 @@ func TestRegisterSchemeEndToEnd(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("registered scheme fails Config.Validate: %v", err)
 	}
-	res, err := Simulate(cfg)
+	res, err := SimulateContext(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("Simulate with registered scheme: %v", err)
+		t.Fatalf("SimulateContext with registered scheme: %v", err)
 	}
 	// A tracker that never mitigates behaves as the unprotected baseline.
-	base, err := Simulate(Config{Workload: "mcf", Scheme: Unprotected, TRH: 2000,
+	base, err := SimulateContext(context.Background(), Config{Workload: "mcf", Scheme: Unprotected, TRH: 2000,
 		Cores: 2, AccessesPerCore: 2000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

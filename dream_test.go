@@ -1,13 +1,14 @@
 package dream
 
 import (
+	"context"
 	"testing"
 )
 
 func TestSchemesAllSimulate(t *testing.T) {
 	// Every built-in scheme must run a small configuration end to end.
 	for _, id := range Schemes() {
-		res, err := Simulate(Config{
+		res, err := SimulateContext(context.Background(), Config{
 			Workload:        "xz",
 			Scheme:          id,
 			TRH:             2000,
@@ -26,13 +27,13 @@ func TestSchemesAllSimulate(t *testing.T) {
 }
 
 func TestUnknownScheme(t *testing.T) {
-	if _, err := Simulate(Config{Workload: "xz", Scheme: "bogus"}); err == nil {
+	if _, err := SimulateContext(context.Background(), Config{Workload: "xz", Scheme: "bogus"}); err == nil {
 		t.Error("unknown scheme should fail")
 	}
 }
 
 func TestCompareReportsSlowdown(t *testing.T) {
-	base, res, slowdown, err := Compare(Config{
+	base, res, slowdown, err := CompareContext(context.Background(), Config{
 		Workload:        "bc",
 		Scheme:          PARADRFMab,
 		TRH:             500,
@@ -53,7 +54,7 @@ func TestCompareReportsSlowdown(t *testing.T) {
 
 func TestAttackFacade(t *testing.T) {
 	// The unprotected baseline must breach; DREAM-R must not.
-	unprot, err := Attack(AttackConfig{
+	unprot, err := AttackContext(context.Background(), AttackConfig{
 		Kind: AttackDoubleSided, Scheme: Unprotected, TRH: 1000, Acts: 60_000,
 	})
 	if err != nil {
@@ -62,7 +63,7 @@ func TestAttackFacade(t *testing.T) {
 	if !unprot.Breached {
 		t.Errorf("unprotected run must breach: max victim %d", unprot.MaxVictim)
 	}
-	prot, err := Attack(AttackConfig{
+	prot, err := AttackContext(context.Background(), AttackConfig{
 		Kind: AttackDoubleSided, Scheme: DreamRMINT, TRH: 1000, Acts: 60_000,
 	})
 	if err != nil {
@@ -98,12 +99,17 @@ func TestWorkloadsExposed(t *testing.T) {
 	}
 }
 
+func init() {
+	MustRegisterScheme("facade-test-none", SchemeDescriptor{
+		Build: func(SchemeEnv, int) (Mitigator, error) { return noneMit{}, nil },
+	})
+}
+
+// TestSimulateCustom runs a user-written Mitigator end to end: registered
+// under a name (in init), then simulated like a built-in.
 func TestSimulateCustom(t *testing.T) {
-	type nop struct{ Mitigator }
-	res, err := SimulateCustom(Config{
-		Workload: "xz", Cores: 2, AccessesPerCore: 2000, Seed: 1,
-	}, func(sub int) Mitigator {
-		return noneMit{}
+	res, err := SimulateContext(context.Background(), Config{
+		Workload: "xz", Scheme: "facade-test-none", Cores: 2, AccessesPerCore: 2000, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +117,6 @@ func TestSimulateCustom(t *testing.T) {
 	if res.IPCSum() <= 0 {
 		t.Error("custom run produced no IPC")
 	}
-	_ = nop{}
 }
 
 // noneMit is a minimal custom Mitigator for the facade test.

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 	}
 	for _, scheme := range schemes {
 		for _, kind := range []dream.AttackKind{dream.AttackDoubleSided, dream.AttackCircular} {
-			res, err := dream.Attack(dream.AttackConfig{
+			res, err := dream.AttackContext(context.Background(), dream.AttackConfig{
 				Kind:   kind,
 				Scheme: scheme,
 				TRH:    trh,

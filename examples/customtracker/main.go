@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -102,24 +103,13 @@ func main() {
 		TRH:      2000,
 		Seed:     11,
 	}
-	res, err := dream.Simulate(cfg)
+	res, err := dream.SimulateContext(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("custom tracker on omnetpp: IPC sum %.3f, ACTs %d, DRFMsb %d, RLP %.2f\n",
 		res.IPCSum(), res.Activations, res.DRFMsbs, res.RLP)
 	fmt.Printf("storage: %.1f KB per sub-channel\n", float64(res.StorageBits)/8/1024)
-
-	// The deprecated factory-closure path still works — same tracker, no
-	// registration — but a closure has no name, so it cannot be cached,
-	// listed, or dispatched to a dreamd shard. Prefer RegisterScheme.
-	legacy, err := dream.SimulateCustom(dream.Config{Workload: "omnetpp", TRH: 2000, Seed: 11},
-		func(sub int) dream.Mitigator { return newCounterPARA(32, 256, 48) })
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("same run via deprecated SimulateCustom: IPC sum %.3f (registered path: %.3f)\n",
-		legacy.IPCSum(), res.IPCSum())
 
 	fmt.Println("\nAny type implementing the Mitigator interface plugs into the controller;")
 	fmt.Println("see internal/core for the real DREAM-R and DREAM-C implementations.")

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ func main() {
 	fmt.Printf("DREAM quickstart: %s at T_RH=%d, 8 cores\n\n", workload, trh)
 
 	for _, scheme := range []dream.SchemeID{dream.MINTDRFMsb, dream.DreamRMINT} {
-		base, res, slowdown, err := dream.Compare(dream.Config{
+		base, res, slowdown, err := dream.CompareContext(context.Background(), dream.Config{
 			Workload: workload,
 			Scheme:   scheme,
 			TRH:      trh,

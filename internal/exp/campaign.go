@@ -72,6 +72,16 @@ func (c CampaignCell) Key() string {
 		"|mop=" + strconv.Itoa(c.MOPCap)
 }
 
+// Size limits every validator of caller-supplied run sizes applies
+// (CampaignCell.Validate and the dream facade's Config and AttackConfig), so
+// one /v1/simulate, /v1/attack or /v1/campaign body cannot ask for an
+// unbounded trace. MaxAccesses, per core or per attack, is about 16x the
+// largest figure run (600 000 accesses per core).
+const (
+	MaxCores    = 512
+	MaxAccesses = 10_000_000
+)
+
 // Validate rejects cells that cannot be turned into a RunConfig: an unknown
 // scheme name, no trace source, or nonsensical machine parameters. Executors
 // validate before running so a malformed cell is a typed error, not a panic
@@ -83,11 +93,11 @@ func (c CampaignCell) Validate() error {
 	if _, ok := SchemeByName(c.Scheme); !ok {
 		return fmt.Errorf("exp: campaign cell names unknown scheme %q", c.Scheme)
 	}
-	if c.Cores <= 0 {
-		return fmt.Errorf("exp: campaign cell cores %d <= 0", c.Cores)
+	if c.Cores <= 0 || c.Cores > MaxCores {
+		return fmt.Errorf("exp: campaign cell cores %d out of range [1, %d]", c.Cores, MaxCores)
 	}
-	if c.Accesses == 0 {
-		return fmt.Errorf("exp: campaign cell has zero accesses per core")
+	if c.Accesses == 0 || c.Accesses > MaxAccesses {
+		return fmt.Errorf("exp: campaign cell accesses per core %d out of range [1, %d]", c.Accesses, MaxAccesses)
 	}
 	if c.Seed == 0 {
 		return fmt.Errorf("exp: campaign cell has zero seed")

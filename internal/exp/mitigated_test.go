@@ -33,9 +33,8 @@ func TestSimEventsAccumulate(t *testing.T) {
 // TestMitigatedRunsDeterministic is the run-level acceptance test for the
 // rowtable conversion: for every scheme whose tracker moved off Go maps
 // (Graphene's CAM, MOAT's PRAC counters) plus the audited/characterised
-// controller paths, repeated runs, cache-disabled runs, the flat-scheduler
-// reference, and the legacy event-loop engine must all produce bit-identical
-// RunResults.
+// controller paths, repeated runs, cache-disabled runs, and the
+// flat-scheduler reference must all produce bit-identical RunResults.
 func TestMitigatedRunsDeterministic(t *testing.T) {
 	cases := []struct {
 		name string
@@ -93,16 +92,6 @@ func TestMitigatedRunsDeterministic(t *testing.T) {
 				}
 				if !reflect.DeepEqual(first, flat) {
 					t.Errorf("flat-scheduler run differs:\nbanked %+v\nflat   %+v", first, flat)
-				}
-
-				oldEngine := tc.cfg
-				oldEngine.legacyEngine = true
-				scan, err := Run(oldEngine)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(first, scan) {
-					t.Errorf("legacy-engine run differs:\nwheel  %+v\nlegacy %+v", first, scan)
 				}
 
 				// Sanity: these runs must actually exercise the structures

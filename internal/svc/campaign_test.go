@@ -193,6 +193,24 @@ func TestCampaignRejectsMismatchedPlans(t *testing.T) {
 	cells[0].Scheme = "base"
 }
 
+// TestCampaignRejectsOversizedCells: a correctly stamped plan whose cells
+// ask for more cores or accesses than exp's limits is a 400, not a run.
+func TestCampaignRejectsOversizedCells(t *testing.T) {
+	s := startService(t, Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, mutate := range []func(*exp.CampaignCell){
+		func(c *exp.CampaignCell) { c.Cores = exp.MaxCores + 1 },
+		func(c *exp.CampaignCell) { c.Accesses = exp.MaxAccesses + 1 },
+	} {
+		cells := testCells(3, "base")
+		mutate(&cells[0])
+		if _, status := postCampaign(t, ts.URL, campaignBody(t, cells)); status != http.StatusBadRequest {
+			t.Errorf("cell %+v: status %d, want 400", cells[0], status)
+		}
+	}
+}
+
 // TestCampaignClientDropsMismatchedShard exercises the typed client-side
 // rejection: a shard speaking a different plan dialect is dropped, never
 // merged.

@@ -110,6 +110,8 @@ func TestHTTPValidationRejects(t *testing.T) {
 		{"server-owned cache knob", `{"workload":"xz","scheme":"base","cachedir":"/tmp/x"}`},
 		{"unknown field", `{"workload":"xz","scheme":"base","bogus":1}`},
 		{"malformed json", `{"workload":`},
+		{"cores past limit", `{"workload":"xz","scheme":"base","cores":513}`},
+		{"accesses past limit", `{"workload":"xz","scheme":"base","accessespercore":10000001}`},
 	}
 	for _, tc := range cases {
 		code, r, _ := post(t, ts.URL+"/v1/simulate", tc.body)
@@ -118,9 +120,11 @@ func TestHTTPValidationRejects(t *testing.T) {
 		}
 	}
 	// Attacks validate too.
-	code, r, _ := post(t, ts.URL+"/v1/attack", `{"kind":"sideways"}`)
-	if code != http.StatusBadRequest || r.Error == nil {
-		t.Errorf("bad attack kind: got %d %+v", code, r)
+	for _, body := range []string{`{"kind":"sideways"}`, `{"kind":"double-sided","acts":10000001}`} {
+		code, r, _ := post(t, ts.URL+"/v1/attack", body)
+		if code != http.StatusBadRequest || r.Error == nil {
+			t.Errorf("attack %s: got %d %+v", body, code, r)
+		}
 	}
 }
 

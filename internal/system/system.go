@@ -7,13 +7,11 @@ package system
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/addrmap"
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/evq"
 	"repro/internal/memctrl"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -21,24 +19,6 @@ import (
 
 // Tick aliases sim.Tick.
 type Tick = sim.Tick
-
-// EngineKind selects the event-loop implementation.
-type EngineKind int
-
-const (
-	// EngineWheel is the default: completions live in a timing-wheel event
-	// queue with batched same-tick delivery and O(1) bitmap search for the
-	// next event time, while controller wakes stay in a flat per-controller
-	// array — at two sub-channels a two-element scan beats any queue's
-	// maintenance cost, and hundreds of in-flight completions are where the
-	// wheel's slot extraction beats a binary heap. Core-finish checks are
-	// targeted at the cores that completed instead of a full rescan.
-	EngineWheel EngineKind = iota
-	// EngineLegacy is the original wake-scan + completion-heap loop,
-	// retained as the equivalence reference: both engines must produce
-	// bit-identical simulations.
-	EngineLegacy
-)
 
 // Config describes one simulated machine.
 type Config struct {
@@ -70,21 +50,6 @@ type Config struct {
 	// is how wall-clock watchdogs convert livelocks into run failures
 	// without the simulator itself ever reading the host clock.
 	OnProgress func(now Tick, events uint64) error
-
-	// Engine selects the event-loop implementation (EngineWheel by
-	// default; EngineLegacy keeps the original loop for equivalence
-	// testing). Both produce identical simulations.
-	Engine EngineKind
-
-	// ParallelSubChannels runs controllers that are due at the same tick on
-	// their own goroutines (DDR5 sub-channels share no bank, queue, or
-	// mitigator state). Completions are buffered per controller and merged
-	// at the barrier, so the simulation stays bit-identical to the serial
-	// path regardless of goroutine scheduling. Requires NewMitigator to
-	// return independent instances (the defaults do). Ignored when Obs is
-	// attached: the epoch sampler reads cross-sub-channel state from the
-	// sub-0 refresh hook mid-tick, which the serial order defines.
-	ParallelSubChannels bool
 
 	// Obs, when non-nil, receives per-bank metrics from every controller
 	// and epoch samples from the event loop. Collection never alters the
@@ -186,30 +151,10 @@ type System struct {
 	fillRds   uint64
 	wbWrites  uint64
 
-	// Wheel-engine state (nil / unused under EngineLegacy).
-	wheel *evq.Wheel
-	batch []evq.Event
-
-	// Parallel sub-channel state (unused when parallel is false). compBuf
-	// holds per-controller completion buffers: during a parallel controller
-	// pass each worker appends only to its own buffer, and the barrier
-	// merges them in controller order.
-	parallel  bool
-	compBuf   [][]evq.Event
-	due       []int
-	parWakes  []Tick
-	parErrs   []error
-	parPanics []any
-
 	// Event-loop statistics (LoopStats).
 	iters  uint64
 	events uint64
 }
-
-// evComplete is the wheel event kind for demand-load completions; A carries
-// the core index and B the segment token, making the queue's (At, Kind, A, B)
-// order match the legacy completion heap's (at, core, token) order.
-const evComplete uint8 = 0
 
 // New assembles a machine running one trace per core.
 func New(cfg Config, traces []cpu.Trace) (*System, error) {
@@ -242,10 +187,7 @@ func New(cfg Config, traces []cpu.Trace) (*System, error) {
 		if cfg.NewMitigator != nil {
 			mit = cfg.NewMitigator(sub)
 		}
-		sub := sub
-		ctrl, err := memctrl.New(cfg.CtrlCfg, dev, mit, func(core int, token uint64, done Tick) {
-			s.onDone(sub, core, token, done)
-		})
+		ctrl, err := memctrl.New(cfg.CtrlCfg, dev, mit, s.onDone)
 		if err != nil {
 			return nil, err
 		}
@@ -285,21 +227,6 @@ func New(cfg Config, traces []cpu.Trace) (*System, error) {
 				return d
 			},
 		})
-	}
-	if cfg.Engine == EngineWheel {
-		s.wheel = evq.NewWheel(0)
-		s.batch = make([]evq.Event, 0, 64)
-	}
-	if cfg.ParallelSubChannels && cfg.Obs == nil && len(s.ctrls) > 1 {
-		s.parallel = true
-		s.compBuf = make([][]evq.Event, len(s.ctrls))
-		for i := range s.compBuf {
-			s.compBuf[i] = make([]evq.Event, 0, 32)
-		}
-		s.due = make([]int, 0, len(s.ctrls))
-		s.parWakes = make([]Tick, len(s.ctrls))
-		s.parErrs = make([]error, len(s.ctrls))
-		s.parPanics = make([]any, len(s.ctrls))
 	}
 	return s, nil
 }
@@ -351,18 +278,8 @@ func (s *System) enqueue(lineAddr uint64, when Tick, isWrite bool, core int, tok
 	}
 }
 
-// onDone receives demand-load completions from controller sub. Under
-// ParallelSubChannels it only appends to the controller's own buffer —
-// safe from the worker goroutine — and the barrier merges the buffers.
-func (s *System) onDone(sub, core int, token uint64, done Tick) {
-	if s.parallel {
-		s.compBuf[sub] = append(s.compBuf[sub], evq.Event{At: int64(done), Kind: evComplete, A: int32(core), B: token})
-		return
-	}
-	if s.wheel != nil {
-		s.wheel.Push(evq.Event{At: int64(done), Kind: evComplete, A: int32(core), B: token})
-		return
-	}
+// onDone receives demand-load completions from every controller.
+func (s *System) onDone(core int, token uint64, done Tick) {
 	s.pending.push(completion{at: done, core: core, token: token})
 }
 
@@ -371,22 +288,15 @@ func (s *System) onDone(sub, core int, token uint64, done Tick) {
 // that the hook costs one masked branch per iteration on the hot path.
 const progressStride = 512
 
-// Run executes until every core finishes its trace (or MaxTime).
+// Run executes until every core finishes its trace (or MaxTime). Each
+// iteration advances to the earliest controller wake or pending completion,
+// delivers every completion due at that tick, runs every controller due at
+// it, and rescans the cores for any that finished.
 func (s *System) Run() error {
 	for _, c := range s.cores {
 		c.Step()
 	}
 	s.refreshDone()
-	if s.wheel != nil {
-		return s.runWheel()
-	}
-	return s.runLegacy()
-}
-
-// runLegacy is the original event loop: a linear wake scan plus a
-// completion-heap peek per iteration, with a full finished-core rescan after
-// every tick. Retained as the equivalence reference for the wheel engine.
-func (s *System) runLegacy() error {
 	for s.finished < len(s.cores) {
 		s.iters++
 		if s.cfg.OnProgress != nil && s.iters%progressStride == 0 {
@@ -419,162 +329,17 @@ func (s *System) runLegacy() error {
 		}
 		// New arrivals may lower a wake below the value Process returns;
 		// enqueue already handled that via s.wakes.
-		if err := s.processControllers(t); err != nil {
-			return err
+		for i, ctrl := range s.ctrls {
+			if s.wakes[i] <= t {
+				s.events++
+				w, err := ctrl.Process(t)
+				if err != nil {
+					return err
+				}
+				s.wakes[i] = w
+			}
 		}
 		s.refreshDone()
-	}
-	return nil
-}
-
-// runWheel is the timing-wheel event loop. Completions are typed events in
-// the wheel — each iteration pops the whole batch for one tick in (core,
-// token) order (the legacy heap order) and delivers it with targeted
-// finished checks, since a core can only finish inside its own Complete.
-// Controller wakes stay in the flat wakes array: with two sub-channels the
-// per-iteration scan is two compares, which beats the Remove/Push round
-// trips that keeping wakes as queue events would cost on every lowered
-// wake. Earlier versions queued wakes as events (armWake); profiles showed
-// the re-arm traffic and its allocations cost more than the scan it saved.
-func (s *System) runWheel() error {
-	for s.finished < len(s.cores) {
-		s.iters++
-		if s.cfg.OnProgress != nil && s.iters%progressStride == 0 {
-			if err := s.cfg.OnProgress(s.now, s.events); err != nil {
-				return err
-			}
-		}
-		t := sim.Forever
-		for _, w := range s.wakes {
-			if w < t {
-				t = w
-			}
-		}
-		// The bounded pop tests and extracts in one slot search; a batch
-		// popped at a tick the MaxTime check then rejects is unobservable,
-		// because an aborted run discards the System wholesale.
-		batch, ct, haveComp := s.wheel.PopNextBefore(int64(t), s.batch[:0])
-		s.batch = batch
-		if haveComp {
-			t = Tick(ct)
-		}
-		if t >= s.cfg.MaxTime {
-			return fmt.Errorf("system: exceeded MaxTime %v at %v (deadlock?)", s.cfg.MaxTime, s.now)
-		}
-		if t == sim.Forever {
-			return fmt.Errorf("system: no pending events but %d cores unfinished", len(s.cores)-s.finished)
-		}
-		s.now = t
-		if haveComp {
-			for _, e := range s.batch {
-				s.events++
-				core := int(e.A)
-				s.cores[core].Complete(e.B, t)
-				if !s.coreDone[core] {
-					if done, _ := s.cores[core].Finished(); done {
-						s.coreDone[core] = true
-						s.finished++
-					}
-				}
-			}
-		}
-		if err := s.processControllers(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// processControllers runs every controller due at tick t, serially or — when
-// ParallelSubChannels is active — on one goroutine per due controller.
-func (s *System) processControllers(t Tick) error {
-	if s.parallel {
-		return s.processControllersPar(t)
-	}
-	for i, ctrl := range s.ctrls {
-		if s.wakes[i] <= t {
-			s.events++
-			w, err := ctrl.Process(t)
-			if err != nil {
-				return err
-			}
-			s.wakes[i] = w
-		}
-	}
-	return nil
-}
-
-// processControllersPar is the parallel controller pass. Sub-channels share
-// no simulator state (disjoint devices, schedulers, queues, and mitigator
-// instances), so controllers due at the same tick run concurrently between
-// two barrier points: the fork after completion delivery and the join
-// before the next tick is chosen. Each worker writes only its own slots
-// (wake, error, panic value) and appends completions to its own compBuf
-// buffer; the join merges buffers in controller order into the event queue,
-// whose total (At, Kind, A, B) order fixes delivery order — so the merged
-// simulation is bit-identical to the serial pass no matter how the
-// goroutines interleave. Worker panics are re-raised and errors returned
-// by lowest controller index, keeping even failures deterministic.
-func (s *System) processControllersPar(t Tick) error {
-	due := s.due[:0]
-	for i := range s.ctrls {
-		if s.wakes[i] <= t {
-			due = append(due, i)
-		}
-	}
-	s.due = due
-	if len(due) == 0 {
-		return nil
-	}
-	s.events += uint64(len(due))
-	if len(due) == 1 {
-		i := due[0]
-		w, err := s.ctrls[i].Process(t)
-		if err != nil {
-			return err
-		}
-		s.wakes[i] = w
-	} else {
-		var wg sync.WaitGroup
-		run := func(i int) {
-			defer func() { s.parPanics[i] = recover() }()
-			s.parWakes[i], s.parErrs[i] = s.ctrls[i].Process(t)
-		}
-		for _, i := range due[1:] {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				run(i)
-			}(i)
-		}
-		run(due[0])
-		wg.Wait()
-		for _, i := range due {
-			if p := s.parPanics[i]; p != nil {
-				panic(p)
-			}
-		}
-		for _, i := range due {
-			if err := s.parErrs[i]; err != nil {
-				return err
-			}
-			s.wakes[i] = s.parWakes[i]
-		}
-	}
-	// Merge buffered completions in controller order. Push order is
-	// irrelevant to pop order (the queue's comparison is a total order),
-	// but a fixed merge order keeps the queue's internal layout — and any
-	// failure it might surface — deterministic too.
-	for i := range s.compBuf {
-		buf := s.compBuf[i]
-		for _, e := range buf {
-			if s.wheel != nil {
-				s.wheel.Push(e)
-			} else {
-				s.pending.push(completion{at: Tick(e.At), core: int(e.A), token: e.B})
-			}
-		}
-		s.compBuf[i] = buf[:0]
 	}
 	return nil
 }
