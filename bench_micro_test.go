@@ -99,10 +99,13 @@ func BenchmarkAuditorObserve(b *testing.B) {
 
 // benchMitigated measures one full mitigated simulation per iteration. The
 // trace cache is warmed outside the timer so every sample is exactly one
-// scheme simulation over recorded traces (mitigated runs themselves are
-// never memoized — each iteration re-simulates).
+// scheme simulation over recorded traces. The scheme is marked impure, so
+// each iteration re-simulates: a pure one would be memoized after the first
+// iteration, and answered from the baseline's call log when its tracker
+// never acts.
 func benchMitigated(b *testing.B, cfg exp.RunConfig) {
 	b.Helper()
+	cfg.Scheme.Pure = false
 	exp.ResetCache()
 	warm := cfg
 	warm.Scheme = exp.Baseline

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/harness"
 	"repro/internal/svc"
 )
 
@@ -121,10 +122,13 @@ func TestShardCrashRecovery(t *testing.T) {
 	urlB, _ := startShard(t, "shard-b", cacheDir, campDir)
 	t.Logf("shards up at %v", time.Since(t0))
 
-	// ~200ms-2s per cell on one worker: shard A is guaranteed to die holding an
-	// uncompleted lease, and the campaign long outlives the kill.
+	// The PARA and MINT cells always act, so they simulate in full (seconds
+	// each on one worker) even on a shard that could answer a silent cell
+	// from its baseline's call log. They come first, so each shard's first
+	// claims are acting cells.
+	acting := map[string]bool{"para-nrr": true, "mint-nrr": true, "mint-dreamr": true}
 	var cells []exp.CampaignCell
-	for _, scheme := range []string{"base", "para-nrr", "mint-nrr", "graphene-nrr", "mint-dreamr", "moat", "abacus", "dreamc-set-assoc"} {
+	for _, scheme := range []string{"para-nrr", "mint-nrr", "mint-dreamr", "base", "graphene-nrr", "moat", "abacus", "dreamc-set-assoc"} {
 		cells = append(cells, exp.CampaignCell{
 			Workload: "mcf", Scheme: scheme,
 			TRH: 1000, Cores: 1, Accesses: 300_000, Seed: 0x5ead,
@@ -138,9 +142,18 @@ func TestShardCrashRecovery(t *testing.T) {
 		done <- outT{client.ExecCells(context.Background(), cells)}
 	}()
 
-	// Kill A once it is mid-campaign: it claims its first lease within
-	// milliseconds of the plan POST landing, and each cell takes hundreds of milliseconds.
-	time.Sleep(700 * time.Millisecond)
+	// Kill A while it alone holds an uncompleted lease on an acting cell, as
+	// the shared lease ledger shows: A then dies mid-simulation, however long
+	// or short the other cells take, and only a steal can finish that cell.
+	// (Two shards that claim a cell in the same instant may both win it; the
+	// protocol runs such a cell twice, so a cell B also leased proves nothing.)
+	waitUntil := time.Now().Add(time.Minute)
+	for !holdsSoleLease(t, campDir, "shard-a", func(c int) bool { return acting[cells[c].Scheme] }) {
+		if time.Now().After(waitUntil) {
+			t.Fatal("shard A never held the only lease on an acting cell")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if err := cmdA.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +193,47 @@ func TestShardCrashRecovery(t *testing.T) {
 	if mb[`dreamd_campaign_cells_total{event="completed"}`] == 0 {
 		t.Error("survivor completed no cells")
 	}
+}
+
+// holdsSoleLease reports whether owner holds the winning lease of an
+// uncompleted cell that satisfies want and that no other shard ever leased,
+// reading every campaign ledger in campDir. Torn lines (a writer mid-append)
+// are skipped; the next poll re-reads them whole.
+func holdsSoleLease(t *testing.T, campDir, owner string, want func(cell int) bool) bool {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(campDir, "*.leases.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			continue
+		}
+		last := map[int]string{}
+		shared, done := map[int]bool{}, map[int]bool{}
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			var rec harness.LeaseRecord
+			if json.Unmarshal(line, &rec) != nil {
+				continue
+			}
+			switch rec.Type {
+			case "lease":
+				if prev, ok := last[rec.Cell]; ok && prev != rec.Owner {
+					shared[rec.Cell] = true
+				}
+				last[rec.Cell] = rec.Owner
+			case "done":
+				done[rec.Cell] = true
+			}
+		}
+		for c, o := range last {
+			if o == owner && !shared[c] && !done[c] && want(c) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func filterPrefix(m map[string]float64, prefix string) map[string]float64 {

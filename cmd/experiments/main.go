@@ -361,10 +361,11 @@ func printCacheStats(w io.Writer) {
 	st := exp.CacheStats()
 	activity := st.TraceMisses + st.TraceHits + st.RunMisses + st.RunHits + st.MitMisses + st.MitHits
 	if activity > 0 {
-		fmt.Fprintf(w, "[run cache: traces %d generated (+%d mem, +%d disk reused), baselines %d simulated (+%d mem, +%d disk), mitigated %d simulated (+%d mem, +%d disk)]\n",
+		fmt.Fprintf(w, "[run cache: traces %d generated (+%d mem, +%d disk reused), baselines %d simulated (+%d mem, +%d disk), mitigated %d computed (+%d mem, +%d disk), %d replayed from baseline call logs (%d fell back, %.1f MB of logs held)]\n",
 			st.TraceMisses-st.DiskTraceHits, st.TraceHits, st.DiskTraceHits,
 			st.RunMisses-st.DiskRunHits, st.RunHits, st.DiskRunHits,
-			st.MitMisses-st.DiskMitHits, st.MitHits, st.DiskMitHits)
+			st.MitMisses-st.DiskMitHits, st.MitHits, st.DiskMitHits,
+			st.Replays, st.ReplayFallbacks, float64(st.LogBytesHeld)/(1<<20))
 	}
 	d := st.Disk
 	if exp.DiskCacheDir() != "" || d.Hits+d.Misses+d.Puts > 0 {

@@ -290,9 +290,9 @@ func (c Config) withDefaults() Config {
 
 // Validate reports whether the configuration is runnable. Zero values are
 // legal everywhere they have defaults (a zero TRH means 2000, not an error);
-// set values must be in range. A non-empty Scheme must name a registered
-// scheme (built-in or RegisterScheme'd); an empty one passes Validate and is
-// rejected as unknown by the entry points.
+// set values must be in range. Scheme has no default: it must name a
+// registered scheme (built-in or RegisterScheme'd; Unprotected for the
+// baseline), and an empty one is an error.
 func (c Config) Validate() error {
 	if c.TRH != 0 && c.TRH < 4 {
 		return fmt.Errorf("dream: TRH %d out of range (trackers need TRH >= 4)", c.TRH)
@@ -306,12 +306,16 @@ func (c Config) Validate() error {
 	if c.AccessesPerCore > exp.MaxAccesses {
 		return fmt.Errorf("dream: AccessesPerCore %d out of range [0, %d]", c.AccessesPerCore, exp.MaxAccesses)
 	}
-	if c.Scheme != "" {
-		if _, err := schemeFor(c.Scheme); err != nil {
-			return err
-		}
+	return validScheme(c.Scheme)
+}
+
+// validScheme rejects an empty or unregistered scheme name.
+func validScheme(id SchemeID) error {
+	if id == "" {
+		return fmt.Errorf("dream: Scheme is required (%q runs unprotected; RegisteredSchemes lists every name)", Unprotected)
 	}
-	return nil
+	_, err := schemeFor(id)
+	return err
 }
 
 // runConfig lowers a default-filled facade config onto the experiment
@@ -456,7 +460,8 @@ func (c AttackConfig) withDefaults() AttackConfig {
 	return c
 }
 
-// Validate reports whether the attack configuration is runnable.
+// Validate reports whether the attack configuration is runnable. As for
+// Config, Scheme is required.
 func (c AttackConfig) Validate() error {
 	switch c.Kind {
 	case AttackDoubleSided, AttackCircular:
@@ -472,12 +477,7 @@ func (c AttackConfig) Validate() error {
 	if c.Acts > exp.MaxAccesses {
 		return fmt.Errorf("dream: Acts %d out of range [0, %d]", c.Acts, exp.MaxAccesses)
 	}
-	if c.Scheme != "" {
-		if _, err := schemeFor(c.Scheme); err != nil {
-			return err
-		}
-	}
-	return nil
+	return validScheme(c.Scheme)
 }
 
 // AttackResult reports the audit outcome.

@@ -20,16 +20,17 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 		want string // substring of the error; "" = valid
 	}{
-		{"zero-config defaults", Config{}, ""},
+		{"zero config lacks a scheme", Config{}, "Scheme is required"},
+		{"defaults with a scheme", Config{Scheme: Unprotected}, ""},
 		{"zero TRH is default-me", Config{Workload: "xz", Scheme: DreamRMINT}, ""},
 		{"tiny TRH", Config{TRH: 2}, "TRH"},
 		{"negative window", Config{WindowScale: -0.5}, "WindowScale"},
 		{"window above 1", Config{WindowScale: 1.5}, "WindowScale"},
 		{"negative cores", Config{Cores: -1}, "Cores"},
 		{"absurd cores", Config{Cores: 1 << 10}, "Cores"},
-		{"max cores", Config{Cores: exp.MaxCores}, ""},
+		{"max cores", Config{Cores: exp.MaxCores, Scheme: Unprotected}, ""},
 		{"cores past max", Config{Cores: exp.MaxCores + 1}, "Cores"},
-		{"max accesses", Config{AccessesPerCore: exp.MaxAccesses}, ""},
+		{"max accesses", Config{AccessesPerCore: exp.MaxAccesses, Scheme: Unprotected}, ""},
 		{"accesses past max", Config{AccessesPerCore: exp.MaxAccesses + 1}, "AccessesPerCore"},
 		{"unknown scheme", Config{Scheme: "bogus"}, "unknown scheme"},
 	}
@@ -115,7 +116,7 @@ func TestAttackConfigValidate(t *testing.T) {
 	if err := (AttackConfig{Kind: AttackCircular, Scheme: DreamRMINT}).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	if err := (AttackConfig{Kind: AttackDoubleSided, Acts: exp.MaxAccesses, Cores: exp.MaxCores}).Validate(); err != nil {
+	if err := (AttackConfig{Kind: AttackDoubleSided, Acts: exp.MaxAccesses, Cores: exp.MaxCores, Scheme: Unprotected}).Validate(); err != nil {
 		t.Errorf("attack at the size limits rejected: %v", err)
 	}
 	if err := (AttackConfig{Kind: AttackDoubleSided, Acts: exp.MaxAccesses + 1}).Validate(); err == nil ||
@@ -125,6 +126,10 @@ func TestAttackConfigValidate(t *testing.T) {
 	if err := (AttackConfig{Kind: AttackDoubleSided, Cores: exp.MaxCores + 1}).Validate(); err == nil ||
 		!strings.Contains(err.Error(), "Cores") {
 		t.Errorf("cores past the limit: %v", err)
+	}
+	if err := (AttackConfig{Kind: AttackDoubleSided}).Validate(); err == nil ||
+		!strings.Contains(err.Error(), "Scheme is required") {
+		t.Errorf("missing scheme: %v", err)
 	}
 }
 

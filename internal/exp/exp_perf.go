@@ -121,10 +121,12 @@ func Fig15Bot(o Options) error {
 	t := stats.Table{Title: "Figure 15 (bottom): DREAM-C (randomized) slowdown vs T_RH",
 		Columns: []string{"T_RH", "average", "worst", "worst workload"}}
 	var errs []error
-	for _, trh := range []int{250, 500, 1000} {
-		schemes := []Scheme{DreamC(dreamcore.GroupRandomized, 1, false)}
-		slow, _, err := slowdownGridN(o, wls, trh, 8, schemes, o.counterAccesses())
-		errs = append(errs, err)
+	trhs := []int{250, 500, 1000}
+	schemes := []Scheme{DreamC(dreamcore.GroupRandomized, 1, false)}
+	grids := slowdownGrids(o, wls, trhs, 8, schemes, o.counterAccesses())
+	for i, trh := range trhs {
+		slow := grids[i].slow
+		errs = append(errs, grids[i].err)
 		name := schemes[0].Name
 		var sum, worst float64
 		worstWL := ""
@@ -202,11 +204,12 @@ func Fig19(o Options) error {
 	t := stats.Table{Title: "Figure 19: average slowdown, PRAC vs DREAM",
 		Columns: []string{"T_RH", "moat(prac)", "mint-dreamr", "dreamc"}}
 	var errs []error
-	for _, trh := range []int{500, 1000, 2000, 4000} {
-		schemes := []Scheme{MOAT(), DreamRMINT(true, false), DreamC(dreamcore.GroupRandomized, 1, false)}
-		slow, _, err := slowdownGridN(o, wls, trh, 8, schemes, o.counterAccesses())
-		errs = append(errs, err)
-		avg := averageBy(wls, schemeNames(schemes), slow)
+	trhs := []int{500, 1000, 2000, 4000}
+	schemes := []Scheme{MOAT(), DreamRMINT(true, false), DreamC(dreamcore.GroupRandomized, 1, false)}
+	grids := slowdownGrids(o, wls, trhs, 8, schemes, o.counterAccesses())
+	for i, trh := range trhs {
+		errs = append(errs, grids[i].err)
+		avg := averageBy(wls, schemeNames(schemes), grids[i].slow)
 		t.AddRow(fmt.Sprintf("%d", trh),
 			stats.Pct(avg["moat"]), stats.Pct(avg["mint-dreamr"]), stats.Pct(avg["dreamc-randomized"]))
 	}
@@ -222,14 +225,15 @@ func Fig22(o Options) error {
 	t := stats.Table{Title: "Figure 22 (Appendix C): DREAM-C with 16 cores",
 		Columns: []string{"T_RH", "dreamc-16core", "dreamc-2x-16core"}}
 	var errs []error
-	for _, trh := range []int{250, 500, 1000} {
-		schemes := []Scheme{
-			DreamC(dreamcore.GroupRandomized, 1, false),
-			DreamC(dreamcore.GroupRandomized, 2, false),
-		}
-		slow, _, err := slowdownGridN(o, wls, trh, 16, schemes, o.counterAccesses())
-		errs = append(errs, err)
-		avg := averageBy(wls, schemeNames(schemes), slow)
+	trhs := []int{250, 500, 1000}
+	schemes := []Scheme{
+		DreamC(dreamcore.GroupRandomized, 1, false),
+		DreamC(dreamcore.GroupRandomized, 2, false),
+	}
+	grids := slowdownGrids(o, wls, trhs, 16, schemes, o.counterAccesses())
+	for i, trh := range trhs {
+		errs = append(errs, grids[i].err)
+		avg := averageBy(wls, schemeNames(schemes), grids[i].slow)
 		t.AddRow(fmt.Sprintf("%d", trh),
 			stats.Pct(avg["dreamc-randomized"]), stats.Pct(avg["dreamc-randomized-2x"]))
 	}

@@ -129,10 +129,11 @@ func PostDream(o Options) error {
 		Columns: append([]string{"T_RH"}, names...)}
 	storage := make(map[int]map[string]int64) // trh -> scheme -> StorageBits
 	var errs []error
-	for _, trh := range trhs {
-		slow, raw, err := slowdownGridN(o, wls, trh, 8, schemes, o.counterAccesses())
-		errs = append(errs, err)
-		avg := averageBy(wls, names, slow)
+	grids := slowdownGrids(o, wls, trhs, 8, schemes, o.counterAccesses())
+	for i, trh := range trhs {
+		raw := grids[i].raw
+		errs = append(errs, grids[i].err)
+		avg := averageBy(wls, names, grids[i].slow)
 		row := []string{fmt.Sprintf("%d", trh)}
 		for _, n := range names {
 			row = append(row, stats.Pct(avg[n]))

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"repro/internal/harness"
+	"repro/internal/runcache"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -168,23 +169,70 @@ func slowdownGrid(o Options, wls []string, trh int, cores int, schemes []Scheme)
 // joined into the returned error. Callers should render what survived and
 // then propagate the error.
 func slowdownGridN(o Options, wls []string, trh int, cores int, schemes []Scheme, accesses uint64) (map[string]map[string]float64, map[string]map[string]stats.RunResult, error) {
-	slow := make(map[string]map[string]float64)
-	raw := make(map[string]map[string]stats.RunResult)
-	for _, wl := range wls {
-		raw[wl] = make(map[string]stats.RunResult)
-		slow[wl] = make(map[string]float64)
-	}
-	markFailed := func(wl string) {
-		for _, sc := range schemes {
-			slow[wl][sc.Name] = math.NaN()
+	g := slowdownGrids(o, wls, []int{trh}, cores, schemes, accesses)[0]
+	return g.slow, g.raw, g.err
+}
+
+// gridResult is one grid's outcome, as slowdownGridN returns it.
+type gridResult struct {
+	slow map[string]map[string]float64
+	raw  map[string]map[string]stats.RunResult
+	err  error
+}
+
+// slowdownGrids runs the slowdown grid of schemes at each threshold in
+// trhs, all over the same workloads, core count and trace length, and
+// returns one result per threshold, each degrading as slowdownGridN
+// describes. Every grid's baselines are the same runs.
+//
+// The workloads go in batches of as many as the run cache holds baseline
+// call logs for (runcache.LogCapacity), and every grid of a batch runs
+// before the next batch starts. So each scheme cell runs while its
+// baseline's log is still held and can be answered by replaying it, rather
+// than after the other workloads' baselines have evicted it. Small grids
+// are one batch; a full-size 8-core counter grid (600 000 accesses per
+// core) goes four workloads at a time. A failed cell cancels only the
+// unclaimed cells of its own wave; later batches still run.
+func slowdownGrids(o Options, wls []string, trhs []int, cores int, schemes []Scheme, accesses uint64) []gridResult {
+	return slowdownGridsBatched(o, wls, trhs, cores, schemes, accesses, runcache.LogCapacity(uint64(cores)*accesses))
+}
+
+// slowdownGridsBatched is slowdownGrids with an explicit batch size.
+func slowdownGridsBatched(o Options, wls []string, trhs []int, cores int, schemes []Scheme, accesses uint64, batch int) []gridResult {
+	out := make([]gridResult, len(trhs))
+	fails := make([][]error, len(trhs))
+	for i := range out {
+		out[i].slow = make(map[string]map[string]float64)
+		out[i].raw = make(map[string]map[string]stats.RunResult)
+		for _, wl := range wls {
+			out[i].slow[wl] = make(map[string]float64)
+			out[i].raw[wl] = make(map[string]stats.RunResult)
 		}
 	}
+	for lo := 0; lo < len(wls); lo += batch {
+		part := wls[lo:min(lo+batch, len(wls))]
+		for i, trh := range trhs {
+			fails[i] = append(fails[i], runGrid(o, part, trh, cores, schemes, accesses, out[i])...)
+		}
+	}
+	for i := range out {
+		out[i].err = errors.Join(fails[i]...)
+	}
+	return out
+}
 
-	// The grid is a two-wave campaign: plan and execute the baselines, derive
-	// each workload's WindowScale from its measured baseline, then plan and
-	// execute the scheme cells with the scale stamped in. Both waves go
-	// through the Options executor, so the same planner output runs in-process
-	// or fanned out across dreamd shards.
+// runGrid runs one grid over wls into g's maps and returns its failures.
+// It is a two-wave campaign: plan and execute the baselines, derive each
+// workload's WindowScale from its measured baseline, then plan and execute
+// the scheme cells with the scale stamped in. Both waves go through the
+// Options executor, so the same planner output runs in-process or fanned
+// out across dreamd shards.
+func runGrid(o Options, wls []string, trh int, cores int, schemes []Scheme, accesses uint64, g gridResult) []error {
+	markFailed := func(wl string) {
+		for _, sc := range schemes {
+			g.slow[wl][sc.Name] = math.NaN()
+		}
+	}
 	ctx := context.Background()
 	ex := o.executor()
 	base := make(map[string]stats.RunResult)
@@ -203,7 +251,7 @@ func slowdownGridN(o Options, wls []string, trh int, cores int, schemes []Scheme
 			continue
 		}
 		base[wl] = baseRes[i].Res
-		raw[wl]["base"] = baseRes[i].Res
+		g.raw[wl]["base"] = baseRes[i].Res
 		good = append(good, wl)
 	}
 
@@ -212,16 +260,16 @@ func slowdownGridN(o Options, wls []string, trh int, cores int, schemes []Scheme
 	results := ex.ExecCells(ctx, cells)
 	for i, c := range cells {
 		if err := results[i].Err; err != nil {
-			slow[c.Workload][c.Scheme] = math.NaN()
+			g.slow[c.Workload][c.Scheme] = math.NaN()
 			if !errors.Is(err, harness.ErrSkipped) {
 				fails = append(fails, err)
 			}
 			continue
 		}
-		raw[c.Workload][c.Scheme] = results[i].Res
-		slow[c.Workload][c.Scheme] = stats.Slowdown(base[c.Workload], results[i].Res)
+		g.raw[c.Workload][c.Scheme] = results[i].Res
+		g.slow[c.Workload][c.Scheme] = stats.Slowdown(base[c.Workload], results[i].Res)
 	}
-	return slow, raw, errors.Join(fails...)
+	return fails
 }
 
 // printSlowdownTable renders a per-workload slowdown table plus the average

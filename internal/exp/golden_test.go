@@ -65,6 +65,9 @@ func mitigated(r stats.RunResult) bool {
 // double-sided attack per tracker family, and one metrics-on run (its result
 // and its metrics report). Any change to the event loop, the controllers,
 // the DRAM model or a tracker that alters a single counter moves a digest.
+// The scheme runs are repeated through the run cache, each after its
+// baseline, and must reproduce the same digests whether they replayed the
+// baseline's call log or fell back to simulating.
 func TestGoldenRunDigests(t *testing.T) {
 	defer SetCacheEnabled(SetCacheEnabled(false))
 
@@ -121,6 +124,34 @@ func TestGoldenRunDigests(t *testing.T) {
 		}
 	}
 
+	// Cached pass: each workload's baseline runs first and records its call
+	// log, then every scheme cell replays that log before simulating. A
+	// replayed cell returns the baseline's result, so each must still match
+	// its committed digest; the quiet Graphene cells must take the replay,
+	// and the cells whose trackers act must fall back.
+	cached := map[string]string{}
+	func() {
+		defer SetCacheEnabled(SetCacheEnabled(true))
+		ResetCache()
+		defer ResetCache()
+		for _, wl := range []string{"mcf", "triad"} {
+			for _, name := range builtins {
+				sc, _ := SchemeByName(name)
+				r, err := Run(RunConfig{
+					Workload: wl, Cores: 4, AccessesPerCore: 4000, TRH: 500,
+					Scheme: sc, Seed: 7, WindowScale: goldenWindowScale,
+				})
+				if err != nil {
+					t.Fatalf("cached %s/%s: %v", name, wl, err)
+				}
+				cached["run/"+wl+"/"+name] = digestJSON(t, r)
+			}
+		}
+		if st := CacheStats(); st.Replays == 0 || st.ReplayFallbacks == 0 {
+			t.Errorf("cached pass: %d replays, %d fallbacks; want at least one of each", st.Replays, st.ReplayFallbacks)
+		}
+	}()
+
 	var report *obs.Report
 	sc, _ := SchemeByName("mint-dreamr")
 	r, err := Run(RunConfig{
@@ -162,6 +193,9 @@ func TestGoldenRunDigests(t *testing.T) {
 	for _, k := range keys {
 		if got[k] != want[k] {
 			diffs = append(diffs, fmt.Sprintf("  %s: got %q want %q", k, got[k], want[k]))
+		}
+		if c, ok := cached[k]; ok && c != want[k] {
+			diffs = append(diffs, fmt.Sprintf("  %s (cached, after its baseline): got %q want %q", k, c, want[k]))
 		}
 	}
 	if len(diffs) == 0 {

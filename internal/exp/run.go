@@ -497,14 +497,16 @@ func (cfg RunConfig) normalized() RunConfig {
 // retry attempt recomputes rather than replaying the failure.
 func runMemo(cfg RunConfig, attempt int) (stats.RunResult, error) {
 	if !cacheEnabled.Load() {
-		return runUncached(cfg, attempt)
+		r, _, err := runUncached(cfg, attempt, false)
+		return r, err
 	}
 	if key, ok := cfg.runKey(); ok {
 		v, err := runCache.Run(key, func() (any, error) {
-			r, err := runUncached(cfg, attempt)
+			r, log, err := runUncached(cfg, attempt, true)
 			if err != nil {
 				return nil, err
 			}
+			runCache.PutCallLog(key, log, r)
 			return r, nil
 		})
 		if err != nil {
@@ -517,7 +519,7 @@ func runMemo(cfg RunConfig, attempt int) (stats.RunResult, error) {
 	// different from the canonical one and must never populate the cache.
 	if key, ok := cfg.mitKey(); ok && attempt == 0 {
 		v, err := runCache.Mit(key, func() (any, error) {
-			r, err := runUncached(cfg, attempt)
+			r, _, err := runUncached(cfg, attempt, false)
 			if err != nil {
 				return nil, err
 			}
@@ -528,23 +530,29 @@ func runMemo(cfg RunConfig, attempt int) (stats.RunResult, error) {
 		}
 		return relabel(v.(stats.RunResult), cfg), nil
 	}
-	return runUncached(cfg, attempt)
+	r, _, err := runUncached(cfg, attempt, false)
+	return r, err
 }
 
 // runUncached executes one already-normalized configuration attempt. Panics
 // from simulation code are recovered into *harness.SimError with the stack,
 // so a poisoned run surfaces as an ordinary error instead of killing the
 // process (or wedging singleflight waiters sharing the fill).
-func runUncached(cfg RunConfig, attempt int) (res stats.RunResult, err error) {
+//
+// An unprotected run with record set returns the log of every mitigator
+// call its controllers made. A memoizable mitigated run whose baseline left
+// a log first replays that log through its trackers and, if none acts,
+// returns the baseline's result without simulating (replayBaseline).
+func runUncached(cfg RunConfig, attempt int, record bool) (res stats.RunResult, log *runcache.CallLog, err error) {
 	id := cfg.runID()
 	defer func() {
 		if rec := recover(); rec != nil {
-			res, err = stats.RunResult{}, harness.NewPanicError(id, rec, debug.Stack())
+			res, log, err = stats.RunResult{}, nil, harness.NewPanicError(id, rec, debug.Stack())
 		}
 	}()
 	fault, err := harness.RunStart(id)
 	if err != nil {
-		return stats.RunResult{}, err
+		return stats.RunResult{}, nil, err
 	}
 	sysCfg := system.DefaultConfig()
 	if cfg.Scheme.PRAC {
@@ -583,16 +591,12 @@ func runUncached(cfg RunConfig, attempt int) (res stats.RunResult, err error) {
 			return v
 		},
 	}
+
+	var mits []memctrl.Mitigator
 	if cfg.Scheme.Build != nil {
-		mits := make([]memctrl.Mitigator, sysCfg.Geometry.SubChannels)
-		for sub := range mits {
-			m, err := cfg.Scheme.Build(env, sub)
-			if err != nil {
-				return stats.RunResult{}, fmt.Errorf("building %s: %w", cfg.Scheme.Name, err)
-			}
-			mits[sub] = m
+		if mits, err = buildMitigators(cfg, env, sysCfg.Geometry.SubChannels); err != nil {
+			return stats.RunResult{}, nil, err
 		}
-		sysCfg.NewMitigator = func(sub int) memctrl.Mitigator { return mits[sub] }
 	}
 
 	traces := cfg.Traces
@@ -604,13 +608,13 @@ func runUncached(cfg RunConfig, attempt int) (res stats.RunResult, err error) {
 			traces, err = generateTraces(cfg)
 		}
 		if err != nil {
-			return stats.RunResult{}, err
+			return stats.RunResult{}, nil, err
 		}
 	}
 
 	// The watchdog, cancellation, and any injected stall ride the progress
 	// callback; with none armed the hook stays nil and the event loop is
-	// exactly the pre-harness hot path.
+	// exactly the pre-harness hot path. A replay calls the same hook.
 	ctx := cfg.Ctx
 	if wd := harness.NewWatchdog(id, RunTimeout()); wd != nil || fault != nil || ctx != nil {
 		sysCfg.OnProgress = func(now sim.Tick, events uint64) error {
@@ -622,6 +626,21 @@ func runUncached(cfg RunConfig, attempt int) (res stats.RunResult, err error) {
 			fault.Stall()
 			return wd.Check(int64(now), events)
 		}
+	}
+
+	switch {
+	case mits != nil:
+		r, ok, err := replayBaseline(cfg, env, mits, sysCfg.OnProgress)
+		if err != nil {
+			return stats.RunResult{}, nil, harness.Wrap(id, err)
+		}
+		if ok {
+			return r, nil, nil
+		}
+		sysCfg.NewMitigator = func(sub int) memctrl.Mitigator { return mits[sub] }
+	case record:
+		log = runcache.NewCallLog(sysCfg.Geometry.SubChannels)
+		sysCfg.NewMitigator = func(sub int) memctrl.Mitigator { return recorder{log: log, sub: sub} }
 	}
 
 	var obsRun *obs.Run
@@ -639,20 +658,120 @@ func runUncached(cfg RunConfig, attempt int) (res stats.RunResult, err error) {
 
 	sys, err := system.New(sysCfg, traces)
 	if err != nil {
-		return stats.RunResult{}, err
+		return stats.RunResult{}, nil, err
 	}
 	err = sys.Run()
 	_, ev := sys.LoopStats()
 	simEvents.Add(ev)
 	if err != nil {
-		return stats.RunResult{}, harness.Wrap(id, err)
+		return stats.RunResult{}, nil, harness.Wrap(id, err)
 	}
 	if obsRun != nil {
 		if err := sys.FinishObs(); err != nil {
-			return stats.RunResult{}, harness.Wrap(id, fmt.Errorf("exporting metrics: %w", err))
+			return stats.RunResult{}, nil, harness.Wrap(id, fmt.Errorf("exporting metrics: %w", err))
 		}
 	}
-	return collect(cfg, sys), nil
+	return collect(cfg, sys), log, nil
+}
+
+// buildMitigators builds cfg's scheme for every sub-channel.
+func buildMitigators(cfg RunConfig, env Env, subs int) ([]memctrl.Mitigator, error) {
+	mits := make([]memctrl.Mitigator, subs)
+	for sub := range mits {
+		m, err := cfg.Scheme.Build(env, sub)
+		if err != nil {
+			return nil, fmt.Errorf("building %s: %w", cfg.Scheme.Name, err)
+		}
+		mits[sub] = m
+	}
+	return mits, nil
+}
+
+// recorder is an unprotected baseline's mitigator while its run is being
+// memoized: it never acts, and it logs every call the controller makes.
+type recorder struct {
+	memctrl.None
+	log *runcache.CallLog
+	sub int
+}
+
+// OnActivate implements memctrl.Mitigator.
+func (r recorder) OnActivate(now sim.Tick, bank int, row uint32) memctrl.Decision {
+	r.log.Activate(r.sub, int64(now), bank, row)
+	return memctrl.Decision{}
+}
+
+// OnRefresh implements memctrl.Mitigator.
+func (r recorder) OnRefresh(now sim.Tick, refIndex uint64) []memctrl.Op {
+	r.log.Refresh(r.sub, int64(now), refIndex)
+	return nil
+}
+
+// replayProgressStride is how many replayed calls pass between progress
+// callbacks: frequent enough for the watchdog, cancellation and injected
+// stalls to reach a replay, as they reach the event loop every 512 passes.
+const replayProgressStride = 512
+
+// replayBaseline replays the call log of cfg's baseline, when this process
+// holds one, through the freshly built mits. The controller consults a
+// mitigator only through OnActivate's Decision and OnRefresh's ops, and
+// OnSampled and OnMitigations fire only after a sample or an op; so if every
+// answer is empty, the mitigated run is the baseline run event for event,
+// and its result is the baseline's, relabelled, with the trackers' storage.
+// ok is false when there is no log or a tracker acted: the caller then
+// simulates, and on a fallback mits have seen calls the simulation will
+// repeat, so they are rebuilt first.
+func replayBaseline(cfg RunConfig, env Env, mits []memctrl.Mitigator, progress func(sim.Tick, uint64) error) (r stats.RunResult, ok bool, err error) {
+	key, memo := cfg.mitKey()
+	if !memo || !cacheEnabled.Load() {
+		return r, false, nil
+	}
+	log, base, held := runCache.CallLog(key.Run)
+	if !held {
+		return r, false, nil
+	}
+	if cfg.Ctx != nil {
+		if err := cfg.Ctx.Err(); err != nil {
+			return r, false, err
+		}
+	}
+	var n uint64
+	var perr error
+	silent, err := log.Replay(func(e runcache.CallEvent) bool {
+		n++
+		if progress != nil && n%replayProgressStride == 0 {
+			if perr = progress(sim.Tick(e.Now), n); perr != nil {
+				return false
+			}
+		}
+		m := mits[e.Sub]
+		if e.Refresh {
+			return len(m.OnRefresh(sim.Tick(e.Now), e.RefIndex)) == 0
+		}
+		return m.OnActivate(sim.Tick(e.Now), e.Bank, e.Row).Empty()
+	})
+	switch {
+	case perr != nil:
+		return r, false, perr
+	case err != nil:
+		return r, false, fmt.Errorf("replaying baseline call log: %w", err)
+	case !silent:
+		runCache.NoteReplay(true)
+		fresh, err := buildMitigators(cfg, env, len(mits))
+		if err != nil {
+			return r, false, err
+		}
+		copy(mits, fresh)
+		return r, false, nil
+	}
+	runCache.NoteReplay(false)
+	var bits int64
+	for _, m := range mits {
+		bits += m.StorageBits()
+	}
+	r = relabel(base.(stats.RunResult), cfg)
+	r.StorageBits = bits / int64(len(mits)) // per sub-channel, as collect reports it
+	return r, true, nil
 }
 
 func collect(cfg RunConfig, sys *system.System) stats.RunResult {

@@ -69,9 +69,28 @@ type Decision struct {
 	PostOps []Op
 }
 
+// Empty reports whether d asks the controller for nothing: no ops, no
+// sample, no forced closure. An activation answered with an empty Decision
+// proceeds exactly as it would without a mitigator (see the Mitigator
+// contract); a field added to Decision must be checked here too.
+func (d Decision) Empty() bool {
+	return len(d.PreOps) == 0 && !d.Sample && !d.CloseNow && len(d.PostOps) == 0
+}
+
 // Mitigator is the tracker+mitigation policy attached to one sub-channel.
 // The controller consults it on every demand activation and reports back the
 // sampling and victim-refresh events it performs.
+//
+// Contract: a mitigator affects the simulated schedule only through the
+// values it returns, the Decision from OnActivate and the ops from
+// OnRefresh. OnSampled and OnMitigations fire only after a Sample or an op
+// it asked for. So a mitigator that answers every call with an empty
+// Decision (Decision.Empty) and no ops leaves the schedule exactly as the
+// unprotected baseline's, event for event; the experiment layer relies on
+// this to answer such runs from the baseline's recorded calls without
+// simulating.
+// A mitigator must therefore not reach into the controller, the device or
+// any state the simulation shares by another path.
 type Mitigator interface {
 	// Name identifies the scheme in reports.
 	Name() string

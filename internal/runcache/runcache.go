@@ -12,6 +12,10 @@
 // exactly one computes the value and the rest block on it, so cache-hit
 // counters double as an exactly-once proof for trace generation and
 // baseline simulation.
+//
+// A baseline that simulates also leaves a memory-only CallLog of every
+// mitigator call it made, so a mitigated run on the same machine can replay
+// those calls through its trackers and skip its simulation when none acts.
 package runcache
 
 import (
@@ -98,9 +102,16 @@ type Source interface {
 	Next() (gap int, lineAddr uint64, isWrite bool, ok bool)
 }
 
-// Record drains one generator into a replayable access slice.
+// Record drains one generator into a replayable access slice. A source that
+// reports how many accesses it has left (workload generators and Replayers
+// do) is recorded into a slice of exactly that capacity, so a held trace set
+// carries no growth slack.
 func Record(src Source) []Access {
-	out := make([]Access, 0, 4096)
+	n := uint64(4096)
+	if r, ok := src.(interface{ Remaining() uint64 }); ok {
+		n = r.Remaining()
+	}
+	out := make([]Access, 0, n)
 	for {
 		gap, line, w, ok := src.Next()
 		if !ok {
@@ -159,6 +170,14 @@ type Stats struct {
 	// Disk aggregates the persistent store's own counters (zero value when
 	// no disk tier is attached).
 	Disk diskcache.Stats
+
+	// Replays counts mitigated runs answered by replaying their baseline's
+	// call log: no tracker acted, so the baseline's result was returned.
+	// ReplayFallbacks counts replays cut short by a tracker that acted, after
+	// which the run simulated in full. LogBytesHeld is the encoded size of
+	// the call logs held in memory.
+	Replays, ReplayFallbacks int64
+	LogBytesHeld             int64
 }
 
 // entry is one singleflight slot: ready closes when val/err are final.
@@ -268,6 +287,34 @@ func (t *table) evictLocked(justAdded any) {
 	}
 }
 
+// get returns key's finished value without computing, filling or waiting:
+// an in-flight or failed entry is a miss.
+func (t *table) get(key any) (any, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.entries[key]
+	if !ok {
+		return nil, false
+	}
+	select {
+	case <-e.ready:
+	default:
+		return nil, false
+	}
+	if e.err != nil {
+		return nil, false
+	}
+	t.clock++
+	e.lastUse = t.clock
+	return e.val, true
+}
+
+func (t *table) heldCost() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.held
+}
+
 func (t *table) len() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -289,6 +336,27 @@ func (t *table) reset() {
 // safe on small machines; the run-result table is unbounded (results are a
 // few hundred bytes each).
 const DefaultTraceBudget = 96 << 20
+
+// logBudget bounds the memory-only call-log table, in encoded bytes. A
+// log costs about 5 bytes per logged call. A full-size counter-grid
+// baseline (8 cores × 600 000 accesses per core) logs 20–25 MB, so the
+// budget holds about five of them; LogCapacity turns it into a count.
+const logBudget = 128 << 20
+
+// logBytesPerAccess bounds the log bytes one simulated memory access costs
+// a baseline: measured 4.1–5.2 on full-size counter-grid baselines.
+const logBytesPerAccess = 6
+
+// LogCapacity returns how many baseline call logs the log table holds at
+// once when each baseline simulates accesses memory accesses in total (at
+// least 1). A grid that runs each batch of at most this many workloads'
+// baselines just before their scheme cells finds every log still held.
+func LogCapacity(accesses uint64) int {
+	if accesses == 0 || accesses >= logBudget/logBytesPerAccess {
+		return 1
+	}
+	return int(logBudget / (accesses * logBytesPerAccess))
+}
 
 // Codec serializes run-result values for the disk tier. The cache stores
 // results as opaque `any` values, so the owner of the concrete type (the
@@ -323,6 +391,11 @@ type Cache struct {
 	traces  *table
 	runs    *table
 	mitruns *table
+	// logs holds each simulated baseline's call log with its result, keyed
+	// by RunKey. It is memory-only: a log is never written to the disk tier.
+	logs *table
+
+	replays, replayFallbacks atomic.Int64
 
 	disk                                    atomic.Pointer[diskTier]
 	diskTraceHits, diskRunHits, diskMitHits atomic.Int64
@@ -334,7 +407,7 @@ func New(traceBudget int64) *Cache {
 	if traceBudget <= 0 {
 		traceBudget = DefaultTraceBudget
 	}
-	return &Cache{traces: newTable(traceBudget), runs: newTable(0), mitruns: newTable(0)}
+	return &Cache{traces: newTable(traceBudget), runs: newTable(0), mitruns: newTable(0), logs: newTable(logBudget)}
 }
 
 // SetDisk attaches (or, with a nil store, detaches) the persistent tier.
@@ -456,18 +529,9 @@ func (c *Cache) diskResult(d *diskTier, ck string) (any, bool) {
 // a disk hit is returned without populating the memory tier, so probing a
 // thousand planned cells does not inflate the working set.
 func (c *Cache) peekResult(t *table, key any, ck string, diskHits *atomic.Int64) (any, bool) {
-	t.mu.Lock()
-	e, ok := t.entries[key]
-	t.mu.Unlock()
-	if ok {
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				t.hits.Add(1)
-				return e.val, true
-			}
-		default:
-		}
+	if v, ok := t.get(key); ok {
+		t.hits.Add(1)
+		return v, true
 	}
 	d := c.disk.Load()
 	if d == nil || d.codec == nil {
@@ -506,17 +570,50 @@ func (c *Cache) Mit(key MitKey, fn func() (any, error)) (any, error) {
 	return c.resultMemo(c.mitruns, key, key.canonical(), &c.diskMitHits, fn)
 }
 
+// loggedRun is one call-log table entry: a baseline's log and its result.
+type loggedRun struct {
+	log    *CallLog
+	result any
+}
+
+// PutCallLog seals and holds the call log a simulated baseline recorded,
+// together with the baseline's result. A log already held for key is kept.
+func (c *Cache) PutCallLog(key RunKey, log *CallLog, result any) {
+	log.Seal()
+	c.logs.do(key, func() (any, int64, error) {
+		return loggedRun{log: log, result: result}, log.Bytes(), nil
+	})
+}
+
+// CallLog returns the call log and result held for key's baseline, if one
+// was recorded by this process and not evicted since.
+func (c *Cache) CallLog(key RunKey) (log *CallLog, result any, ok bool) {
+	v, ok := c.logs.get(key)
+	if !ok {
+		return nil, nil, false
+	}
+	lr := v.(loggedRun)
+	return lr.log, lr.result, true
+}
+
+// NoteReplay counts one replay of a call log: answered from the baseline,
+// or fell back to a full simulation because a tracker acted.
+func (c *Cache) NoteReplay(fellBack bool) {
+	if fellBack {
+		c.replayFallbacks.Add(1)
+	} else {
+		c.replays.Add(1)
+	}
+}
+
 // Stats snapshots hit/miss/entry counters across both tiers.
 func (c *Cache) Stats() Stats {
-	c.traces.mu.Lock()
-	held := c.traces.held
-	c.traces.mu.Unlock()
 	s := Stats{
 		TraceHits:         c.traces.hits.Load(),
 		TraceMisses:       c.traces.misses.Load(),
 		TraceEntries:      c.traces.len(),
 		TraceEvictions:    c.traces.evictions.Load(),
-		TraceAccessesHeld: held,
+		TraceAccessesHeld: c.traces.heldCost(),
 		RunHits:           c.runs.hits.Load(),
 		RunMisses:         c.runs.misses.Load(),
 		RunEntries:        c.runs.len(),
@@ -526,6 +623,9 @@ func (c *Cache) Stats() Stats {
 		DiskTraceHits:     c.diskTraceHits.Load(),
 		DiskRunHits:       c.diskRunHits.Load(),
 		DiskMitHits:       c.diskMitHits.Load(),
+		Replays:           c.replays.Load(),
+		ReplayFallbacks:   c.replayFallbacks.Load(),
+		LogBytesHeld:      c.logs.heldCost(),
 	}
 	if d := c.disk.Load(); d != nil {
 		s.Disk = d.store.Stats()
@@ -533,14 +633,17 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// Reset drops all in-memory entries and zeroes the counters (tests,
-// benchmarks). The persistent tier is deliberately untouched: a Reset
-// followed by re-running the same work is exactly the cross-process warm
-// path, and the determinism tests rely on that.
+// Reset drops all in-memory entries, call logs included, and zeroes the
+// counters (tests, benchmarks). The persistent tier is deliberately
+// untouched: a Reset followed by re-running the same work is exactly the
+// cross-process warm path, and the determinism tests rely on that.
 func (c *Cache) Reset() {
 	c.traces.reset()
 	c.runs.reset()
 	c.mitruns.reset()
+	c.logs.reset()
+	c.replays.Store(0)
+	c.replayFallbacks.Store(0)
 	c.diskTraceHits.Store(0)
 	c.diskRunHits.Store(0)
 	c.diskMitHits.Store(0)

@@ -112,6 +112,7 @@ func TestHTTPValidationRejects(t *testing.T) {
 		{"malformed json", `{"workload":`},
 		{"cores past limit", `{"workload":"xz","scheme":"base","cores":513}`},
 		{"accesses past limit", `{"workload":"xz","scheme":"base","accessespercore":10000001}`},
+		{"missing scheme", `{"workload":"xz","cores":1,"accessespercore":100}`},
 	}
 	for _, tc := range cases {
 		code, r, _ := post(t, ts.URL+"/v1/simulate", tc.body)
@@ -120,7 +121,7 @@ func TestHTTPValidationRejects(t *testing.T) {
 		}
 	}
 	// Attacks validate too.
-	for _, body := range []string{`{"kind":"sideways"}`, `{"kind":"double-sided","acts":10000001}`} {
+	for _, body := range []string{`{"kind":"sideways"}`, `{"kind":"double-sided","acts":10000001}`, `{"kind":"double-sided"}`} {
 		code, r, _ := post(t, ts.URL+"/v1/attack", body)
 		if code != http.StatusBadRequest || r.Error == nil {
 			t.Errorf("attack %s: got %d %+v", body, code, r)
@@ -168,6 +169,41 @@ func TestHTTPFlakyFaultIsRetriedToSuccess(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), "dreamd_sim_retries_total") {
 		t.Error("metrics missing retry counter")
+	}
+}
+
+// TestMetricsReportReplays serves a baseline and then a scheme whose tracker
+// stays silent on the same tiny machine: the second request is answered by
+// replaying the baseline's call log, and /metrics reports it.
+func TestMetricsReportReplays(t *testing.T) {
+	ts, _ := newTestServer(t, Options{Workers: 1})
+	base := `{"workload":"xz","scheme":"base","trh":2000,"cores":2,"accessespercore":2000,"seed":7001}`
+	if code, r, _ := post(t, ts.URL+"/v1/simulate", base); code != http.StatusOK || !r.OK {
+		t.Fatalf("baseline = %d %+v", code, r.Error)
+	}
+	quiet := strings.Replace(base, `"base"`, `"graphene-drfmsb"`, 1)
+	if code, r, _ := post(t, ts.URL+"/v1/simulate", quiet); code != http.StatusOK || !r.OK {
+		t.Fatalf("silent scheme = %d %+v", code, r.Error)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var replays float64
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "dreamd_cache_replays_total "); ok {
+			fmt.Sscanf(v, "%g", &replays)
+		}
+	}
+	if replays < 1 {
+		t.Errorf("dreamd_cache_replays_total = %v after a silent scheme on a simulated baseline, want >= 1", replays)
+	}
+	for _, name := range []string{"dreamd_cache_replay_fallbacks_total", "dreamd_cache_log_bytes"} {
+		if !strings.Contains(string(body), name+" ") {
+			t.Errorf("/metrics missing %s", name)
+		}
 	}
 }
 

@@ -256,6 +256,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{Name: "dreamd_cache_run_hits_total", Help: "Run-result cache hits (memory tier).", Type: "counter", Value: float64(cs.RunHits + cs.MitHits)},
 		{Name: "dreamd_cache_run_misses_total", Help: "Run-result cache misses (memory tier).", Type: "counter", Value: float64(cs.RunMisses + cs.MitMisses)},
 		{Name: "dreamd_cache_disk_hits_total", Help: "Memory misses served by the persistent tier.", Type: "counter", Value: float64(cs.DiskRunHits + cs.DiskMitHits + cs.DiskTraceHits)},
+		{Name: "dreamd_cache_replays_total", Help: "Mitigated runs answered by replaying their baseline's call log (no tracker acted).", Type: "counter", Value: float64(cs.Replays)},
+		{Name: "dreamd_cache_replay_fallbacks_total", Help: "Call-log replays cut short by a tracker that acted; the run then simulated.", Type: "counter", Value: float64(cs.ReplayFallbacks)},
+		{Name: "dreamd_cache_log_bytes", Help: "Bytes of baseline call logs held in memory.", Type: "gauge", Value: float64(cs.LogBytesHeld)},
 		{Name: "dreamd_cache_disk_bytes", Help: "Bytes resident in the persistent tier.", Type: "gauge", Value: float64(cs.Disk.BytesHeld)},
 		{Name: "dreamd_cache_disk_corrupt_total", Help: "Persistent-tier entries dropped by read-side verification.", Type: "counter", Value: float64(cs.Disk.Corrupt)},
 		{Name: "dreamd_inflight_requests", Help: "Distinct flights queued or executing.", Type: "gauge", Value: float64(m.InFlight)},

@@ -139,5 +139,5 @@ func (g *Gen) expGap() int {
 	return int(-g.gapMean * math.Log(1-u))
 }
 
-// Remaining reports accesses left (tests).
+// Remaining reports accesses left; runcache.Record sizes its recording by it.
 func (g *Gen) Remaining() uint64 { return g.remaining }
